@@ -11,7 +11,6 @@ package repro
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -76,13 +75,11 @@ func declBenchInstance(clients int) (pending, history []request.Request) {
 // paper's Listing 1 (Section 4.3.2: 358 ms at 300 clients, 545 ms at 500 on
 // the paper's 2008 hardware). Hash joins with cached per-relation equality
 // indexes; large operator loops fan out across GOMAXPROCS workers (on a
-// single-core box the cutoff keeps everything sequential, so the numbers
-// stay comparable across the BENCH_<pr>.json trajectory).
+// single-core box everything stays sequential).
 func BenchmarkSS2PLQuerySQL(b *testing.B) {
 	for _, clients := range []int{100, 300, 500} {
 		pending, history := declBenchInstance(clients)
 		p := protocol.SS2PLSQL()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -126,7 +123,6 @@ func BenchmarkSQLIncrementalRound(b *testing.B) {
 	batch := 12 // requests churned per round
 	b.Run("cold", func(b *testing.B) {
 		p := protocol.SS2PLSQL()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := p.Qualify(pending, history); err != nil {
@@ -136,7 +132,6 @@ func BenchmarkSQLIncrementalRound(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		p := protocol.SS2PLSQL()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		cur := append([]request.Request(nil), pending...)
 		if _, err := p.QualifyIncremental(cur, history, protocol.Deltas{PendingAdded: cur}); err != nil {
 			b.Fatal(err)
@@ -167,7 +162,6 @@ func BenchmarkSQLIncrementalRound(b *testing.B) {
 		// bag patch (minisql.IVM's bulk path, forced here so the measurement
 		// is the path itself, not the threshold).
 		p := protocol.SS2PLSQL()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		p.SetForceStrategy("bulk")
 		cur := append([]request.Request(nil), pending...)
 		if _, err := p.QualifyIncremental(cur, history, protocol.Deltas{PendingAdded: cur}); err != nil {
@@ -195,37 +189,11 @@ func BenchmarkSQLIncrementalRound(b *testing.B) {
 
 // BenchmarkSS2PLQueryDatalog times the same round with the Datalog engine
 // (cold evaluation; allocation counts track the hash-indexed fact sets).
-// Large passes fan out across GOMAXPROCS workers; on a single-core box the
-// cutoff keeps everything on the sequential path, so the numbers stay
-// comparable across the BENCH_<pr>.json trajectory.
 func BenchmarkSS2PLQueryDatalog(b *testing.B) {
 	for _, clients := range []int{100, 300, 500} {
 		pending, history := declBenchInstance(clients)
 		p := protocol.SS2PLDatalog()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Qualify(pending, history); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDatalogParallelQuery sweeps the worker count on the largest
-// qualification instance, so multi-core scaling (and the single-core
-// overhead of the parallel machinery) is visible in isolation.
-func BenchmarkDatalogParallelQuery(b *testing.B) {
-	pending, history := declBenchInstance(500)
-	for _, workers := range []int{1, 2, 4, 8} {
-		if workers > 2*runtime.GOMAXPROCS(0) {
-			break // oversubscribing beyond 2x cores measures nothing useful
-		}
-		p := protocol.SS2PLDatalog()
-		p.SetParallelism(workers)
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := p.Qualify(pending, history); err != nil {
@@ -245,7 +213,6 @@ func BenchmarkDatalogIncrementalRound(b *testing.B) {
 	batch := 12 // requests churned per round
 	b.Run("cold", func(b *testing.B) {
 		p := protocol.SS2PLDatalog()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := p.Qualify(pending, history); err != nil {
@@ -255,7 +222,6 @@ func BenchmarkDatalogIncrementalRound(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		p := protocol.SS2PLDatalog()
-		p.SetParallelism(runtime.GOMAXPROCS(0))
 		cur := append([]request.Request(nil), pending...)
 		if _, err := p.QualifyIncremental(cur, history, protocol.Deltas{PendingAdded: cur}); err != nil {
 			b.Fatal(err)

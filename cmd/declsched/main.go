@@ -37,7 +37,6 @@ func main() {
 	passthrough := flag.Bool("passthrough", false, "non-scheduling mode (forward unscheduled)")
 	check := flag.Bool("check", false, "verify conflict serializability of the executed schedule")
 	seed := flag.Int64("seed", 1, "workload seed")
-	parallel := flag.Int("parallel", 0, "protocol evaluation workers (-1 = all cores, 0 = single-threaded default)")
 	syncRounds := flag.Bool("syncrounds", false, "serialize qualify and execute (disable the round pipeline)")
 	execDelay := flag.Duration("execdelay", 0, "synthetic per-statement server latency (models a remote server; the pipeline overlaps it with qualification)")
 	partitions := flag.Int("partitions", 1, "partition the round loop into N object-hashed shards (protocol must factor by object)")
@@ -104,11 +103,10 @@ func main() {
 		log.Fatal(err)
 	}
 	base := scheduler.Config{
-		Protocol:    proto,
-		Server:      srv,
-		Mode:        mode,
-		KeepLog:     *check,
-		Parallelism: *parallel,
+		Protocol: proto,
+		Server:   srv,
+		Mode:     mode,
+		KeepLog:  *check,
 	}
 	var mw *scheduler.Middleware
 	var engine *scheduler.Engine

@@ -142,12 +142,6 @@ type Options struct {
 	PassThrough bool
 	// KeepLog retains the execution log for serializability checking.
 	KeepLog bool
-	// Parallelism evaluates large qualification passes on that many cores
-	// when the protocol supports it (the Datalog protocols do): < 0 selects
-	// GOMAXPROCS, 0 keeps the single-threaded default, 1 forces
-	// single-threaded. Small rounds stay on the sequential fast path either
-	// way.
-	Parallelism int
 }
 
 // Scheduler is the running middleware: the paper's Figure 1 component.
@@ -168,11 +162,10 @@ func New(opts Options) (*Scheduler, error) {
 		mode = scheduler.PassThrough
 	}
 	engine, err := scheduler.NewEngine(scheduler.Config{
-		Protocol:    opts.Protocol,
-		Server:      srv,
-		Mode:        mode,
-		KeepLog:     opts.KeepLog,
-		Parallelism: opts.Parallelism,
+		Protocol: opts.Protocol,
+		Server:   srv,
+		Mode:     mode,
+		KeepLog:  opts.KeepLog,
 	})
 	if err != nil {
 		return nil, err

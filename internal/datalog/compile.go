@@ -73,9 +73,7 @@ type headSlot struct {
 
 // compiledRule is a rule with a fixed evaluation order and variable slots.
 // It is immutable after NewEngine finishes: all mutable evaluation state
-// lives in ruleScratch instances, one per evaluator (the engine's sequential
-// scratch plus one per pool worker), so independent workers may evaluate the
-// same rule concurrently.
+// lives in its ruleScratch.
 type compiledRule struct {
 	rule  Rule
 	idx   int // position in Engine.compiled
@@ -97,17 +95,15 @@ type compiledRule struct {
 	// once every step's index slot is assigned.
 	fns []stepFn
 
-	// scratch is the engine's own evaluation scratch (the single-threaded
-	// path); pool workers use per-worker scratches from Engine.workerScratch.
+	// scratch is the rule's evaluation scratch.
 	scratch *ruleScratch
 }
 
 // ruleScratch holds the per-evaluation mutable state of one rule: the
 // variable environment, the head tuple buffer filled before emission, one
 // lookup-key buffer per step, and the head-pin state used by DRed
-// rederivation. Each concurrent evaluator owns a private instance; emitted
-// tuples reference headBuf and must be cloned by any sink that retains them
-// (factSet.add with copyOnInsert does exactly that).
+// rederivation. Emitted tuples reference headBuf and must be cloned by any
+// sink that retains them (factSet.add with copyOnInsert does exactly that).
 type ruleScratch struct {
 	env     []relation.Value
 	headBuf relation.Tuple

@@ -70,11 +70,11 @@ func (e *Engine) chooseDRed(churn, affectedSize int) bool {
 //     evaluation that stops at the first proof; the pins filter each
 //     binding step, deliberately without a dedicated index — see the mask
 //     registration note in NewEngine). Probes run against the stable
-//     post-removal state with insertions deferred, so large probe batches
-//     fan out across the worker pool. Survivors are re-inserted and then
-//     a standard seeded semi-naive insert pass runs, fed by re-derived
-//     facts, net insertions from below, and "enabler" passes that derive the
-//     facts newly enabled by deletions under negation.
+//     post-removal state with insertions deferred. Survivors are
+//     re-inserted and then a standard seeded semi-naive insert pass runs,
+//     fed by re-derived facts, net insertions from below, and "enabler"
+//     passes that derive the facts newly enabled by deletions under
+//     negation.
 //  4. The stratum's net change (overdeleted minus rederived; inserted minus
 //     re-inserted) becomes the delta feeding higher strata.
 //
@@ -248,8 +248,7 @@ func (e *Engine) runDRed(changed map[string]EDBDelta) error {
 		// pass (facts whose proof depends on other re-derived facts are
 		// picked up by the seeded semi-naive loop). Probes run against the
 		// stable post-removal state with re-insertions deferred until every
-		// probe is done, so the probe phase is read-only and large batches
-		// fan out across the worker pool.
+		// probe is done.
 		survivors, err := e.rederiveDeferred(O)
 		if err != nil {
 			return err
@@ -385,11 +384,10 @@ func (e *Engine) overdelete(s int, insDone, delDone map[string]*factSet) (map[st
 
 	cur := e.leaseMap()
 	// merge files one candidate head tuple into O and the round's delta.
-	// owned marks task-owned clones from the parallel path; sequential
-	// emissions hand over the rule scratch's head buffer and must be cloned
-	// on genuine insertion. Runs on the calling goroutine only.
-	merge := func(round map[string]*factSet) func(head string, t relation.Tuple, owned bool) error {
-		return func(head string, t relation.Tuple, owned bool) error {
+	// Emissions hand over the rule scratch's head buffer and are cloned on
+	// genuine insertion.
+	merge := func(round map[string]*factSet) func(head string, t relation.Tuple) error {
+		return func(head string, t relation.Tuple) error {
 			f := e.facts[head]
 			if f == nil || !f.contains(t) {
 				return nil // never derived (an artefact of the over-approximated view)
@@ -399,7 +397,7 @@ func (e *Engine) overdelete(s int, insDone, delDone map[string]*factSet) (map[st
 				o = e.leaseSetSized(head, f.arity)
 				O[head] = o
 			}
-			added, stored, err := o.add(t, !owned)
+			added, stored, err := o.add(t, true)
 			if err != nil || !added {
 				return err
 			}
@@ -413,24 +411,15 @@ func (e *Engine) overdelete(s int, insDone, delDone map[string]*factSet) (map[st
 			return err
 		}
 	}
-	// evalPass runs one overdelete pass's work items, fanning out to the
-	// pool when the batch is large enough.
+	// evalPass runs one overdelete pass's work items.
 	evalPass := func(items []workItem, round map[string]*factSet) error {
 		m := merge(round)
-		if e.pool != nil {
-			done, err := e.runParallel(items, func(pred string, t relation.Tuple) error {
-				return m(pred, t, true)
-			})
-			if err != nil || done {
-				return err
-			}
-		}
 		for _, it := range items {
 			c := e.compiled[it.ri]
 			head := c.rule.Head.Pred
 			err := e.evalRule(c, c.scratch, it.spec, func(t relation.Tuple) error {
 				e.Stats.RuleFirings++
-				return m(head, t, false)
+				return m(head, t)
 			})
 			if err != nil {
 				return err
@@ -442,7 +431,7 @@ func (e *Engine) overdelete(s int, insDone, delDone map[string]*factSet) (map[st
 	// Seeds: deletions through positive atoms (per-occurrence delta-join
 	// passes — later occurrences read the old view), insertions through
 	// negation.
-	base := evalSpec{negOcc: -1, negOld: insDone, oldSets: delDone, hi: -1}
+	base := evalSpec{negOcc: -1, negOld: insDone, oldSets: delDone}
 	var items []workItem
 	for _, ri := range rules {
 		c := e.compiled[ri]
@@ -453,7 +442,7 @@ func (e *Engine) overdelete(s int, insDone, delDone map[string]*factSet) (map[st
 				continue
 			}
 			items = append(items, workItem{ri: ri, spec: evalSpec{
-				deltaOcc: -1, negOcc: nocc, negDelta: d, negOld: insDone, hi: -1,
+				deltaOcc: -1, negOcc: nocc, negDelta: d, negOld: insDone,
 			}})
 		}
 	}
@@ -484,11 +473,9 @@ type rederivTarget struct {
 
 // rederiveDeferred probes every physically removed over-deleted fact for an
 // alternative derivation against the current (stable) fact sets and returns
-// the survivors. No fact is inserted during the probes — deferred insertion
-// keeps the probe phase read-only, so it parallelises over the worker pool
-// (facts whose only proofs pass through other survivors are re-derived by
-// the caller's seeded semi-naive pass instead; the final fact sets are the
-// same either way).
+// the survivors. No fact is inserted during the probes (facts whose only
+// proofs pass through other survivors are re-derived by the caller's seeded
+// semi-naive pass instead; the final fact sets are the same either way).
 func (e *Engine) rederiveDeferred(O map[string]*factSet) ([]rederivTarget, error) {
 	preds := make([]string, 0, len(O))
 	for pred := range O {
@@ -508,41 +495,13 @@ func (e *Engine) rederiveDeferred(O map[string]*factSet) ([]rederivTarget, error
 	if len(targets) == 0 {
 		return nil, nil
 	}
-	ok := make([]bool, len(targets))
-	if e.pool != nil && len(targets) >= e.parMinWork {
-		nTasks := (len(targets) + e.parChunk - 1) / e.parChunk
-		if nTasks > e.parallelism {
-			nTasks = e.parallelism
-		}
-		errs := make([]error, nTasks)
-		e.pool.RunRange(len(targets), nTasks, func(task, lo, hi, worker int) {
-			for i := lo; i < hi; i++ {
-				k, err := e.rederivable(targets[i].pred, targets[i].t, worker)
-				if err != nil {
-					errs[task] = err
-					return
-				}
-				ok[i] = k
-			}
-		})
-		e.Stats.ParallelTasks += nTasks
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for i, tg := range targets {
-			k, err := e.rederivable(tg.pred, tg.t, -1)
-			if err != nil {
-				return nil, err
-			}
-			ok[i] = k
-		}
-	}
 	kept := targets[:0]
-	for i, tg := range targets {
-		if ok[i] {
+	for _, tg := range targets {
+		ok, err := e.rederivable(tg.pred, tg.t)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
 			kept = append(kept, tg)
 		}
 	}
@@ -552,22 +511,18 @@ func (e *Engine) rederiveDeferred(O map[string]*factSet) ([]rederivTarget, error
 // rederivable reports whether an over-deleted (and physically removed) fact
 // still has a derivation from the current facts, by evaluating each of its
 // predicate's rules with the head variables pinned to the fact and stopping
-// at the first proof. worker selects the evaluation scratch: the engine's
-// own (-1) or a pool worker's private one.
-func (e *Engine) rederivable(pred string, t relation.Tuple, worker int) (bool, error) {
+// at the first proof.
+func (e *Engine) rederivable(pred string, t relation.Tuple) (bool, error) {
 	for _, ri := range e.rulesFor[pred] {
 		c := e.compiled[ri]
 		if c.hasAgg || c.rule.IsFact() {
 			continue
 		}
 		sc := c.scratch
-		if worker >= 0 {
-			sc = e.scratchFor(worker, c)
-		}
 		if !setPins(c, sc, t) {
 			continue
 		}
-		spec := evalSpec{deltaOcc: -1, negOcc: -1, hi: -1, pinned: true}
+		spec := evalSpec{deltaOcc: -1, negOcc: -1, pinned: true}
 		err := e.evalRule(c, sc, spec, func(relation.Tuple) error { return errStopEval })
 		clearPins(c, sc)
 		if err == errStopEval {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/arena"
-	"repro/internal/pool"
 	"repro/internal/relation"
 )
 
@@ -33,14 +32,6 @@ import (
 // bound positions of every atom occurrence with the predicate, so fact sets
 // build exactly the indexes the rules probe, eagerly, with uint64 hash
 // buckets (see factSet).
-//
-// SetParallelism(n) with n > 1 evaluates large semi-naive passes on a
-// persistent worker pool: each pass's work (rule × delta occurrence) is
-// partitioned into step-0 ranges, workers evaluate with private scratch
-// buffers into private emit buffers, and the buffers are merged into the
-// fact sets in deterministic task order. Small passes stay on the
-// single-threaded fast path (parMinWork cutoff). The engine remains
-// single-caller: only evaluation inside one Run/RunIncremental fans out.
 type Engine struct {
 	prog      *Program
 	compiled  []*compiledRule
@@ -59,8 +50,7 @@ type Engine struct {
 	// under negation or by an aggregate rule — facts flowing through those
 	// edges do not propagate monotonically. rulesFor indexes the non-fact
 	// rules by head predicate (DRed rederivation needs them); allPreds lists
-	// every predicate the program mentions, so fact sets can be pre-created
-	// before a parallel pass (workers must never mutate the facts map).
+	// every predicate the program mentions (see ensureFactSets).
 	dependents   map[string][]string
 	negatedPreds map[string]bool
 	aggBodyPreds map[string]bool
@@ -86,18 +76,6 @@ type Engine struct {
 	// warm is true once facts reflects a completed run over the current EDB.
 	warm bool
 
-	// Parallel evaluation state: parallelism is the worker count (<= 1 means
-	// sequential), pool the persistent workers (internal/pool, shared
-	// abstraction with the mini-SQL operators), workerScratch one private
-	// rule-scratch row per worker. parMinWork is the minimum estimated
-	// outer-loop cardinality of a pass before it fans out; parChunk the
-	// minimum chunk size per task.
-	parallelism   int
-	pool          *pool.Pool
-	workerScratch [][]*ruleScratch
-	parMinWork    int
-	parChunk      int
-
 	// Non-monotone cost model. costModel selects how RunIncremental picks
 	// between DRed propagation and affected-closure recompute: costAdaptive
 	// (the default) predicts each strategy's round time from a per-strategy
@@ -118,15 +96,12 @@ type Engine struct {
 	// capacity retained — when the run ends, so a steady-state warm round
 	// re-fills retained memory instead of allocating. Leased sets clone
 	// their copy-on-insert tuples into roundArena, reset with the leases
-	// (persistent fact sets never lease and never touch the arena). outPool
-	// recycles the parallel tasks' private emit buffers, and workBuf the
-	// per-pass work-item slice.
+	// (persistent fact sets never lease and never touch the arena). workBuf
+	// recycles the per-pass work-item slice.
 	setPool    map[string][]*factSet
 	leased     []leasedSet
 	mapPool    []map[string]*factSet
 	mapsOut    []map[string]*factSet
-	outPool    []*factSet
-	outsOut    []*factSet
 	roundArena arena.Slab[relation.Value]
 	workBuf    []workItem
 
@@ -170,9 +145,6 @@ type RunStats struct {
 	// the subset that survived via an alternative derivation.
 	Overdeleted int
 	Rederived   int
-	// ParallelTasks counts worker-pool tasks executed (0 on the sequential
-	// path).
-	ParallelTasks int
 }
 
 // EDBDelta describes the change to one extensional predicate between runs.
@@ -207,9 +179,6 @@ func NewEngine(prog *Program) (*Engine, error) {
 		rulesFor:     make(map[string][]int),
 		dirty:        make(map[string]bool),
 		setPool:      make(map[string][]*factSet),
-		parallelism:  1,
-		parMinWork:   defaultParMinWork,
-		parChunk:     defaultParChunk,
 
 		costModel:       costAdaptive,
 		dredChurnFactor: defaultDRedChurnFactor,
@@ -356,7 +325,6 @@ func (e *Engine) newSetSized(pred string, arity int) *factSet {
 const (
 	maxPooledSetsPerPred = 8
 	maxPooledMaps        = 16
-	maxPooledOuts        = 64
 )
 
 // leaseSet leases a round-scoped fact set for pred: taken from the
@@ -403,24 +371,6 @@ func (e *Engine) leaseMap() map[string]*factSet {
 	return m
 }
 
-// leaseOut leases an index-free membership set for a parallel task's private
-// emit buffer. Out sets never attach the round arena: workers clone emitted
-// tuples concurrently, and the handed-over clones flow into persistent fact
-// sets, so they must be independent heap tuples.
-func (e *Engine) leaseOut(arity int) *factSet {
-	var f *factSet
-	if n := len(e.outPool); n > 0 {
-		f = e.outPool[n-1]
-		e.outPool[n-1] = nil
-		e.outPool = e.outPool[:n-1]
-		f.arity = arity
-	} else {
-		f = newFactSet(arity, nil)
-	}
-	e.outsOut = append(e.outsOut, f)
-	return f
-}
-
 // releaseRound returns every leased set and map to its pool (reset, capacity
 // retained, pool size capped) and recycles the round arena. Runs once per
 // Run/RunIncremental, after which no round-scoped structure is reachable.
@@ -442,14 +392,6 @@ func (e *Engine) releaseRound() {
 		e.mapsOut[i] = nil
 	}
 	e.mapsOut = e.mapsOut[:0]
-	for i, f := range e.outsOut {
-		if len(e.outPool) < maxPooledOuts {
-			f.reset()
-			e.outPool = append(e.outPool, f)
-		}
-		e.outsOut[i] = nil
-	}
-	e.outsOut = e.outsOut[:0]
 	e.roundArena.Reset()
 }
 
@@ -464,8 +406,8 @@ func (e *Engine) factsFor(pred string) *factSet {
 }
 
 // ensureFactSets pre-creates a fact set for every predicate the program
-// mentions. Pool workers read e.facts concurrently during a parallel pass;
-// creating all sets up front keeps those reads free of map writes.
+// mentions, so the DRed passes can index e.facts directly and evaluation
+// never writes the map mid-pass.
 func (e *Engine) ensureFactSets() {
 	for _, p := range e.allPreds {
 		if _, ok := e.facts[p]; !ok {
@@ -923,8 +865,7 @@ type stratumOpts struct {
 
 // workItem is one rule evaluation of a pass: rule ri evaluated under spec
 // (a semi-naive delta substitution, a DRed overdelete or enabler pass, or a
-// full evaluation). The spec's lo/hi window is left open; the parallel
-// scheduler fills it per chunk.
+// full evaluation).
 type workItem struct {
 	ri   int
 	spec evalSpec
@@ -968,12 +909,11 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 		}
 		return d
 	}
-	// addDerived inserts a derived head tuple into the full fact set (clone
-	// on genuine insertion unless owned is set — parallel merge hands over
-	// task-owned clones), records new facts in next and carry, and feeds the
-	// DRed classification hook.
-	addDerived := func(pred string, t relation.Tuple, owned bool, next map[string]*factSet) error {
-		added, stored, err := e.factsFor(pred).add(t, !owned)
+	// addDerived inserts a derived head tuple into the full fact set (cloned
+	// on genuine insertion), records new facts in next and carry, and feeds
+	// the DRed classification hook.
+	addDerived := func(pred string, t relation.Tuple, next map[string]*factSet) error {
+		added, stored, err := e.factsFor(pred).add(t, true)
 		if err != nil || !added {
 			return err
 		}
@@ -991,28 +931,18 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 		}
 		return nil
 	}
-	// One emit closure (and one parallel-merge closure) serves every work
-	// item of the stratum: the current head predicate and sink map travel in
-	// the captured variables instead of a fresh closure per item.
+	// One emit closure serves every work item of the stratum: the current
+	// head predicate and sink map travel in the captured variables instead
+	// of a fresh closure per item.
 	var emitPred string
 	var emitNext map[string]*factSet
 	emit := func(t relation.Tuple) error {
 		e.Stats.RuleFirings++
-		return addDerived(emitPred, t, false, emitNext)
+		return addDerived(emitPred, t, emitNext)
 	}
-	mergePar := func(pred string, t relation.Tuple) error {
-		return addDerived(pred, t, true, emitNext)
-	}
-	// evalPass runs one pass's work items, fanning out to the pool when the
-	// batch is large enough.
+	// evalPass runs one pass's work items.
 	evalPass := func(items []workItem, next map[string]*factSet) error {
 		emitNext = next
-		if e.pool != nil {
-			done, err := e.runParallel(items, mergePar)
-			if err != nil || done {
-				return err
-			}
-		}
 		for _, it := range items {
 			c := e.compiled[it.ri]
 			emitPred = c.rule.Head.Pred
@@ -1030,7 +960,7 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 			if c.hasAgg || c.rule.IsFact() {
 				continue
 			}
-			items = append(items, workItem{ri: ri, spec: evalSpec{deltaOcc: -1, negOcc: -1, hi: -1}})
+			items = append(items, workItem{ri: ri, spec: evalSpec{deltaOcc: -1, negOcc: -1}})
 		}
 		e.workBuf = items[:0]
 		if err := evalPass(items, delta); err != nil {
@@ -1045,7 +975,7 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 		items := e.workBuf[:0]
 		for _, ep := range opts.enablers {
 			items = append(items, workItem{ri: ep.ri, spec: evalSpec{
-				deltaOcc: -1, negOcc: ep.negOcc, negDelta: ep.negDelta, negEnable: true, hi: -1,
+				deltaOcc: -1, negOcc: ep.negOcc, negDelta: ep.negDelta, negEnable: true,
 			}})
 		}
 		e.workBuf = items[:0]
@@ -1072,7 +1002,7 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 				if c.hasAgg || c.rule.IsFact() {
 					continue
 				}
-				spec := evalSpec{deltaOcc: -1, negOcc: -1, hi: -1}
+				spec := evalSpec{deltaOcc: -1, negOcc: -1}
 				emitPred, emitNext = c.rule.Head.Pred, next
 				if err := e.evalRule(c, c.scratch, spec, emit); err != nil {
 					return err
@@ -1083,7 +1013,7 @@ func (e *Engine) runStratum(s int, ruleIdx []int, opts stratumOpts) error {
 			// with that occurrence reading only the delta. A rule with no
 			// delta'd body atom cannot fire again and is skipped implicitly.
 			items := e.workBuf[:0]
-			base := evalSpec{negOcc: -1, hi: -1}
+			base := evalSpec{negOcc: -1}
 			for _, ri := range ruleIdx {
 				c := e.compiled[ri]
 				if c.hasAgg || c.rule.IsFact() {
@@ -1131,16 +1061,12 @@ type evalSpec struct {
 	// through later occurrences then contribute exactly the derivations
 	// whose earlier atoms survived.
 	oldSets map[string]*factSet
-	// lo/hi window the step-0 enumeration (parallel chunking); hi == -1
-	// means the full range.
-	lo, hi int
 	// pinned activates the scratch's head pins (DRed rederivation): every
 	// binding or arithmetic assignment of a pinned variable must equal the
 	// pinned value, pruning the enumeration to derivations of one target
 	// head tuple.
 	pinned bool
 }
-
 
 // evalAggregate evaluates an aggregate rule: the body is enumerated once
 // (its predicates are in strictly lower strata), bindings are grouped by the
@@ -1157,7 +1083,7 @@ func (e *Engine) evalAggregate(c *compiledRule) error {
 	var order []*aggGroup
 	keyBuf := make(relation.Tuple, len(c.groupIdx))
 
-	spec := evalSpec{deltaOcc: -1, negOcc: -1, hi: -1}
+	spec := evalSpec{deltaOcc: -1, negOcc: -1}
 	err := e.evalRule(c, c.scratch, spec, func(raw relation.Tuple) error {
 		e.Stats.RuleFirings++
 		for i, gi := range c.groupIdx {

@@ -63,7 +63,7 @@ func (c *compiledRule) buildFns() {
 		case m.lit.Kind == LitAtom && m.lit.Negated:
 			fns[i] = makeNegStep(m, i, next)
 		case m.lit.Kind == LitAtom && len(m.lookupCols) == 0:
-			fns[i] = makeScanStep(m, i, next)
+			fns[i] = makeScanStep(m, next)
 		case m.lit.Kind == LitAtom:
 			fns[i] = makeLookupStep(m, i, next)
 		case m.lit.Kind == LitCmp:
@@ -114,18 +114,13 @@ func atomSets(e *Engine, m *stepMeta, pred string, spec *evalSpec) (set, old *fa
 }
 
 // makeScanStep compiles a positive atom with no bound columns: a full
-// enumeration of the predicate (windowed by spec.lo/hi at step 0 — the
-// parallel scheduler's range partitioning).
-func makeScanStep(m *stepMeta, step int, next stepFn) stepFn {
+// enumeration of the predicate.
+func makeScanStep(m *stepMeta, next stepFn) stepFn {
 	pred := m.lit.Atom.Pred
 	return func(e *Engine, c *compiledRule, sc *ruleScratch) error {
 		spec := &sc.spec
 		set, old := atomSets(e, m, pred, spec)
-		tuples := set.tuples
-		if step == 0 && spec.hi >= 0 {
-			tuples = tuples[spec.lo:spec.hi]
-		}
-		for _, t := range tuples {
+		for _, t := range set.tuples {
 			if !bindStep(m, sc, t) {
 				continue
 			}
@@ -166,20 +161,9 @@ func makeLookupStep(m *stepMeta, step int, next stepFn) stepFn {
 		}
 		h := relation.HashValues(key)
 		ix := &set.indexes[m.lookupIdx]
-		p := ix.head[h]
-		window := -1 // unlimited
-		if step == 0 && spec.hi >= 0 {
-			for skip := spec.lo; skip > 0 && p != 0; skip-- {
-				p = ix.links[p-1]
-			}
-			window = spec.hi - spec.lo
-		}
-		for p != 0 && window != 0 {
+		for p := ix.head[h]; p != 0; {
 			pos := p - 1
 			p = ix.links[pos]
-			if window > 0 {
-				window--
-			}
 			t := set.tuples[pos]
 			if !matchAt(t, m.lookupCols, key) || !bindStep(m, sc, t) {
 				continue

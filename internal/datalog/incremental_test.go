@@ -201,7 +201,7 @@ var multiDeltaPrograms = []string{
 // runMultiDeltaBatches drives one engine through random insert/delete
 // batches over prog's EDB predicates, checking every step against a cold
 // oracle and the fact-set invariants. configure tweaks the engine before the
-// first run (cost-model pin, parallelism).
+// first run (cost-model pin).
 func runMultiDeltaBatches(t *testing.T, prog *Program, seed int64, configure func(*Engine)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -292,22 +292,6 @@ func TestDRedDeltaJoinMultiDeltaPrograms(t *testing.T) {
 		for seed := int64(0); seed < 8; seed++ {
 			runMultiDeltaBatches(t, prog, seed*13+int64(pi), func(e *Engine) {
 				e.costModel = costForceDRed
-			})
-		}
-	}
-}
-
-// TestDRedDeltaJoinMultiDeltaParallel is the same property with every DRed
-// pass forced through the worker pool: parallel DRed ≡ sequential DRed ≡
-// cold oracle (the sequential equivalence is the previous test; both compare
-// against the same oracle on the same seeds).
-func TestDRedDeltaJoinMultiDeltaParallel(t *testing.T) {
-	for pi, src := range multiDeltaPrograms {
-		prog := MustParse(src)
-		for seed := int64(0); seed < 8; seed++ {
-			runMultiDeltaBatches(t, prog, seed*13+int64(pi), func(e *Engine) {
-				e.costModel = costForceDRed
-				forceParallel(e, 4)
 			})
 		}
 	}

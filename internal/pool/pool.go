@@ -1,11 +1,10 @@
-// Package pool provides the persistent worker pool shared by the parallel
-// evaluators: the Datalog engine's semi-naive and DRed passes and the
-// relational-algebra operators behind the mini-SQL executor all fan their
-// large passes out over the same abstraction. A Pool is a fixed set of
-// goroutines fed from one channel; batches block the submitting goroutine
-// until every task of the batch has finished, so the callers' single-threaded
-// round structure is preserved — only the inside of one evaluation pass runs
-// concurrently.
+// Package pool provides the persistent worker pool behind the mini-SQL
+// executor's operator fan-out: the relational-algebra operators split their
+// large scan/filter/probe loops into row ranges and run them here. A Pool is
+// a fixed set of goroutines fed from one channel; batches block the
+// submitting goroutine until every task of the batch has finished, so the
+// caller's single-threaded round structure is preserved — only the inside of
+// one operator loop runs concurrently.
 package pool
 
 import (
@@ -83,35 +82,11 @@ func (p *Pool) Run(n int, fn func(task, worker int)) {
 	wg.Wait()
 }
 
-// Reconfigure implements the SetParallelism lifecycle shared by every pool
-// owner (the Datalog engine, the SQL protocol): it resolves n (n <= 0
-// selects GOMAXPROCS), shuts old down when the worker count changes, and
-// returns the pool for the new count — old itself when unchanged, nil for
-// single-threaded, or a fresh pool whose goroutines are shut down when
-// owner becomes unreachable (owners have no Close hook).
-func Reconfigure[T any](owner *T, old *Pool, n int) *Pool {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if old != nil {
-		if old.Workers() == n {
-			return old
-		}
-		old.Shutdown()
-	}
-	if n <= 1 {
-		return nil
-	}
-	p := New(n)
-	runtime.AddCleanup(owner, func(pl *Pool) { pl.Shutdown() }, p)
-	return p
-}
-
 // RunRange splits the half-open range [0, n) into tasks contiguous windows
 // and executes fn(task, lo, hi, worker) for each on the pool, blocking until
 // all complete. tasks is clamped to n; the windows are balanced to within
 // one element. The shared chunk arithmetic of every range-partitioned pass
-// (row loops, probe batches, rederivation targets).
+// (row loops, probe batches).
 func (p *Pool) RunRange(n, tasks int, fn func(task, lo, hi, worker int)) {
 	if tasks > n {
 		tasks = n

@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -166,42 +165,4 @@ func TestShutdownIdempotent(t *testing.T) {
 	p.Run(4, func(task, worker int) {})
 	p.Shutdown()
 	p.Shutdown()
-}
-
-// TestReconfigureLifecycle: Reconfigure keeps the pool when the count is
-// unchanged, returns nil for single-threaded counts, and builds a fresh pool
-// (shutting the old one down) when the count changes.
-func TestReconfigureLifecycle(t *testing.T) {
-	type owner struct{ _ int }
-	o := &owner{}
-	p := Reconfigure(o, nil, 3)
-	if p == nil || p.Workers() != 3 {
-		t.Fatalf("fresh pool: %+v", p)
-	}
-	if q := Reconfigure(o, p, 3); q != p {
-		t.Fatal("unchanged count did not keep the pool")
-	}
-	q := Reconfigure(o, p, 2)
-	if q == p || q == nil || q.Workers() != 2 {
-		t.Fatalf("changed count: %+v", q)
-	}
-	// The replaced pool is shut down; the new one still runs batches.
-	ran := false
-	q.Run(1, func(task, worker int) { ran = true })
-	if !ran {
-		t.Fatal("new pool did not run")
-	}
-	if r := Reconfigure(o, q, 1); r != nil {
-		t.Fatal("n=1 should be single-threaded (nil pool)")
-	}
-	// n <= 0 selects GOMAXPROCS: a pool of that many workers, or nil on a
-	// single-core configuration (single-threaded).
-	r := Reconfigure(o, nil, 0)
-	if procs := runtime.GOMAXPROCS(0); procs > 1 {
-		if r == nil || r.Workers() != procs {
-			t.Fatalf("n<=0 should select %d workers, got %+v", procs, r)
-		}
-	} else if r != nil {
-		t.Fatalf("n<=0 on a single-core box should be single-threaded, got %d workers", r.Workers())
-	}
 }

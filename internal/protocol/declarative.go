@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -69,9 +70,9 @@ type SQLProtocol struct {
 	coldCost      costmodel.EWMA
 	forceStrategy string
 
-	// Operator options: a worker pool when SetParallelism enabled one, and
-	// the nested-loop oracle switch (benchmarks and property tests compare
-	// the hash path against it).
+	// Operator options: the worker pool of the operator fan-out (set up by
+	// NewSQL on multi-core processes), and the nested-loop oracle switch
+	// (benchmarks and property tests compare the hash path against it).
 	opts *ra.Options
 
 	// lastStrategy names the evaluation path of the last Qualify call
@@ -105,13 +106,26 @@ const sqlBulkBorrow = 1.5
 // sqlMaxDeferred bounds the stale-view replay queue (see SQLProtocol.deferred).
 const sqlMaxDeferred = 8
 
-// NewSQL parses the query once and reuses the plan every round.
+// NewSQL parses the query once and reuses the plan every round. When the
+// process has more than one core (GOMAXPROCS > 1), large scan/filter/join
+// loops of the executor fan out across GOMAXPROCS workers; the operators'
+// row cutoff (ra.Options.MinParRows) keeps small rounds sequential.
 func NewSQL(name, sql string) (*SQLProtocol, error) {
 	q, err := minisql.Parse(sql)
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", name, err)
 	}
-	return &SQLProtocol{name: name, query: q}, nil
+	p := &SQLProtocol{name: name, query: q}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		// The pool starts its workers on the first fanned-out batch; the
+		// cleanup stops them once the protocol is unreachable. The fan-out
+		// loops lease their per-task emit buffers from the round-scoped
+		// scratch (reset at each Qualify entry).
+		wp := pool.New(n)
+		runtime.AddCleanup(p, func(wp *pool.Pool) { wp.Shutdown() }, wp)
+		p.opts = &ra.Options{Pool: wp, Scratch: &ra.Scratch{}}
+	}
+	return p, nil
 }
 
 // SS2PLSQL is the paper's Listing 1 as a protocol.
@@ -132,33 +146,6 @@ func (p *SQLProtocol) Name() string { return p.name }
 
 // ObjectDecomposable implements the marker (see protocol.ObjectDecomposable).
 func (p *SQLProtocol) ObjectDecomposable() bool { return p.decomposable }
-
-// SetParallelism implements Parallelizable: large scan/filter/join loops of
-// the mini-SQL executor fan out across n workers (n <= 0 selects GOMAXPROCS,
-// 1 stays single-threaded). Must not be called concurrently with Qualify.
-func (p *SQLProtocol) SetParallelism(n int) {
-	var old *pool.Pool
-	if p.opts != nil {
-		old = p.opts.Pool
-	}
-	np := pool.Reconfigure(p, old, n)
-	if np == nil {
-		if p.opts != nil {
-			p.opts.Pool = nil
-		}
-		return
-	}
-	if p.opts == nil {
-		p.opts = &ra.Options{}
-	}
-	p.opts.Pool = np
-	if p.opts.Scratch == nil {
-		// The fan-out loops lease their per-task emit buffers from a
-		// round-scoped scratch (reset at each Qualify entry), so warm
-		// parallel rounds stop allocating chunk buffers.
-		p.opts.Scratch = &ra.Scratch{}
-	}
-}
 
 // SetNestedLoop forces (or clears) the executor's nested-loop join oracle —
 // the unindexed O(n·m) baseline the hash operators are benchmarked and
@@ -666,11 +653,6 @@ func (p *DatalogProtocol) EngineStats() datalog.RunStats { return p.engine.Stats
 // LastStrategy implements StrategyReporter with the engine's evaluation path
 // of the last run (the adaptive cost model's per-round choice).
 func (p *DatalogProtocol) LastStrategy() string { return p.engine.Stats.Strategy }
-
-// SetParallelism implements Parallelizable: large evaluation passes of the
-// underlying engine fan out across n workers (n <= 0 selects GOMAXPROCS,
-// 1 stays single-threaded). Must not be called concurrently with Qualify.
-func (p *DatalogProtocol) SetParallelism(n int) { p.engine.SetParallelism(n) }
 
 // SetAux binds an auxiliary EDB relation (e.g. objclass(obj, class) for
 // consistency rationing). It persists across Qualify calls until replaced.

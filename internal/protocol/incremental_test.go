@@ -6,8 +6,18 @@ import (
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/pool"
+	"repro/internal/ra"
 	"repro/internal/request"
 )
+
+// forceFanOut puts every operator loop of p onto a 4-worker pool, whatever
+// the test process's GOMAXPROCS and however small the round.
+func forceFanOut(t *testing.T, p *SQLProtocol) {
+	wp := pool.New(4)
+	t.Cleanup(wp.Shutdown)
+	p.opts = &ra.Options{Pool: wp, MinParRows: 1, Scratch: &ra.Scratch{}}
+}
 
 // costmodelEWMA builds a pre-seeded cost estimate for strategy-choice tests.
 func costmodelEWMA(perUnit float64, samples int) costmodel.EWMA {
@@ -112,8 +122,7 @@ func TestSQLQualifyIncrementalMatchesCold(t *testing.T) {
 // warm/cold strategy per round.
 func TestSQLQualifyIncrementalParallelAndNested(t *testing.T) {
 	par := SS2PLSQL()
-	par.SetParallelism(4)
-	par.opts.MinParRows = 1
+	forceFanOut(t, par)
 	driveIncremental(t, par, func() Protocol { return SS2PLSQL() }, 11)
 	if got := par.LastStrategy(); got != "sql-warm" {
 		t.Fatalf("after warm rounds LastStrategy = %q, want sql-warm", got)
@@ -150,8 +159,7 @@ func TestSQLIVMQualifyIncrementalMatchesCold(t *testing.T) {
 	}
 	par := SS2PLSQL()
 	par.forceStrategy = "ivm"
-	par.SetParallelism(4)
-	par.opts.MinParRows = 1
+	forceFanOut(t, par)
 	driveIncremental(t, par, func() Protocol { return SS2PLSQL() }, 21)
 	if got := par.LastStrategy(); got != "sql-ivm" {
 		t.Fatalf("parallel: LastStrategy = %q, want sql-ivm", got)

@@ -68,16 +68,6 @@ type IncrementalProtocol interface {
 	QualifyIncremental(pending, history []request.Request, d Deltas) ([]request.Request, error)
 }
 
-// Parallelizable is implemented by protocols whose qualification query can
-// evaluate on multiple cores. The scheduler forwards its configured
-// parallelism; protocols without multi-core support simply don't implement
-// the interface.
-type Parallelizable interface {
-	// SetParallelism sets the worker count for subsequent qualifications
-	// (n <= 0 selects GOMAXPROCS). Not safe concurrently with Qualify.
-	SetParallelism(n int)
-}
-
 // StrategyReporter is implemented by protocols that can name the evaluation
 // path their last Qualify took (e.g. the Datalog engine's cold / monotone /
 // dred / recompute as chosen by its adaptive cost model, or the SQL

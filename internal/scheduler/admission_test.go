@@ -361,3 +361,85 @@ func TestResubmitCacheWindow(t *testing.T) {
 		t.Error("TerminalOutcome(1) still recorded after window eviction")
 	}
 }
+
+// TestDuplicateSubmissionAnswers pins the registration contract for a second
+// submission of an unanswered (TA, IntraTA) key. An identical retransmit
+// attaches to the copy in flight: both waiters get the executed result and
+// the request runs once. A duplicate with different content replaces the
+// first: the replaced waiter gets errSuperseded and only the newest copy
+// runs. Every waiter is answered exactly once, and the queued counter
+// returns to zero. Both middleware kinds register the same way; the
+// submissions are made before Start so they meet the same loop state.
+func TestDuplicateSubmissionAnswers(t *testing.T) {
+	for _, parted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("partitioned=%v", parted), func(t *testing.T) {
+			srv := storage.NewServer(storage.Config{Rows: 16})
+			var mw *Middleware
+			if parted {
+				pe, err := NewPartitionedEngine(PartitionedConfig{
+					Base:       Config{Server: srv},
+					Partitions: 2,
+					Factory:    func() protocol.Protocol { return protocol.SS2PLDatalog() },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mw = NewPartitionedMiddleware(pe, FillTrigger{Level: 1}, nil)
+			} else {
+				e, err := NewEngine(Config{Protocol: protocol.SS2PLDatalog(), Server: srv})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mw = NewMiddleware(e, FillTrigger{Level: 1}, nil)
+			}
+
+			var mu sync.Mutex
+			answers := make([][]Result, 4)
+			var wg sync.WaitGroup
+			submit := func(i int, r request.Request) {
+				wg.Add(1)
+				if err := mw.SubmitFunc(r, func(res Result) {
+					mu.Lock()
+					answers[i] = append(answers[i], res)
+					mu.Unlock()
+					wg.Done()
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			write := func(ta, obj int64) request.Request {
+				return request.Request{TA: ta, IntraTA: 0, Op: request.Write, Object: obj}
+			}
+			submit(0, write(1, 3))
+			submit(1, write(1, 3)) // retransmit
+			submit(2, write(2, 5))
+			submit(3, write(2, 6)) // replacement
+			mw.Start()
+			defer mw.Stop()
+			wg.Wait()
+
+			mu.Lock()
+			defer mu.Unlock()
+			for i, a := range answers {
+				if len(a) != 1 {
+					t.Fatalf("waiter %d answered %d times: %v", i, len(a), a)
+				}
+			}
+			if answers[0][0].Err != nil || answers[1][0] != answers[0][0] {
+				t.Fatalf("retransmit: original %+v, retransmit %+v; want the same executed result", answers[0][0], answers[1][0])
+			}
+			if answers[2][0].Err != errSuperseded {
+				t.Fatalf("replaced waiter got %+v, want errSuperseded", answers[2][0])
+			}
+			if answers[3][0].Err != nil {
+				t.Fatalf("replacement got %+v, want its executed result", answers[3][0])
+			}
+			if got := [3]int64{srv.Get(3), srv.Get(5), srv.Get(6)}; got != [3]int64{1, 0, 1} {
+				t.Fatalf("rows 3,5,6 = %v, want [1 0 1] (each surviving copy executed once)", got)
+			}
+			if q := mw.Queued(); q != 0 {
+				t.Fatalf("queued counter = %d after every waiter was answered, want 0", q)
+			}
+		})
+	}
+}

@@ -60,11 +60,6 @@ type Config struct {
 	// underlying DBMS): the protocol decides *which* requests are safe, the
 	// cap decides *how many* reach the server at once.
 	MaxBatch int
-	// Parallelism is forwarded to the protocol when it implements
-	// protocol.Parallelizable: large qualification passes then evaluate on
-	// that many cores (< 0 selects GOMAXPROCS, 0 leaves the protocol's
-	// default, 1 forces single-threaded).
-	Parallelism int
 	// StarveAfter is the waiting-age bound: a transaction whose pending
 	// requests have gone this many rounds without any of them qualifying is
 	// resolved — first by precise deadlock detection over the waits-for
@@ -157,11 +152,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Mode == Scheduling && cfg.Protocol == nil {
 		return nil, fmt.Errorf("scheduler: scheduling mode needs a protocol")
 	}
-	if cfg.Parallelism != 0 {
-		if pp, ok := cfg.Protocol.(protocol.Parallelizable); ok {
-			pp.SetParallelism(cfg.Parallelism) // < 0 selects GOMAXPROCS
-		}
-	}
 	starve := cfg.StarveAfter
 	if starve == 0 {
 		starve = DefaultStarveAfter
@@ -197,15 +187,15 @@ func (e *Engine) Enqueue(rs ...request.Request) {
 }
 
 // execStep is one unit of deferred server work: optional write compensations
-// (a victim's rollback) followed by one scheduled request. Victim abort
-// records carry waiter == false — no client is waiting on them.
+// (an aborting transaction's rollback) followed by one scheduled request.
+// Victim abort records carry victim == true — no client is waiting on them.
 type execStep struct {
 	req    request.Request
 	undo   []int64 // objects whose executed writes are compensated first
 	victim bool
-	// noServer skips the server call (but not the compensations): a victim
-	// abort record replicated to a non-home shard compensates that shard's
-	// executed writes, while the home shard performs the abort itself.
+	// noServer skips the server call (but not the compensations): an abort
+	// replicated to a non-home shard compensates that shard's executed
+	// writes, while the home shard performs the abort itself.
 	noServer bool
 	// expectWrites arms the durable journal's commit gate for a commit
 	// step: how many writes the transaction has in (global) history, i.e.
@@ -450,7 +440,7 @@ func (e *Engine) commitPlan(qualified []request.Request, aborts []abortOp, commi
 		// per-TA history index makes this O(|TA's writes|); the undo runs on
 		// the server strictly after those writes (the plan preserves
 		// execution order, and the executors are FIFO per engine).
-		plan.steps = append(plan.steps, execStep{req: ab.rec, undo: e.hist.WritesOf(ta), victim: true, noServer: !ab.execServer})
+		plan.steps = append(plan.steps, execStep{req: ab.rec, undo: e.undoList(ta), victim: true, noServer: !ab.execServer})
 		if ab.execServer {
 			e.hist.Append(ab.rec)
 		} else {
@@ -474,13 +464,22 @@ func (e *Engine) commitPlan(qualified []request.Request, aborts []abortOp, commi
 		if e.replicas != nil && e.replicas[k] {
 			// Replica copy of a cross-partition termination: enter history
 			// (releasing this shard's locks) without server work — the home
-			// shard executes it and answers the client.
+			// shard executes it and answers the client. An abort still
+			// compensates the writes this shard executed.
 			delete(e.replicas, k)
+			if r.Op == request.Abort {
+				plan.steps = append(plan.steps, execStep{req: r, undo: e.undoList(r.TA), noServer: true})
+			}
 			e.hist.AppendReplica(r)
 			e.pending.Remove(k)
 			continue
 		}
 		step := execStep{req: r}
+		if r.Op == request.Abort {
+			// A client abort rolls back the writes its transaction executed,
+			// exactly as a victim's abort does.
+			step.undo = e.undoList(r.TA)
+		}
 		if durable && r.Op == request.Commit {
 			// Arm the commit gate before the termination row lands (and
 			// before GC can collect the write rows the count is taken from).
@@ -502,6 +501,21 @@ func (e *Engine) commitPlan(qualified []request.Request, aborts []abortOp, commi
 		e.cfg.Server.MaybeCheckpoint()
 	}
 	return plan
+}
+
+// undoList returns the objects of ta's executed writes, the compensations of
+// its abort. A write to an object outside the table failed at the server
+// and changed nothing, so it is left out.
+func (e *Engine) undoList(ta int64) []int64 {
+	writes := e.hist.WritesOf(ta)
+	rows := int64(e.cfg.Server.Rows())
+	kept := writes[:0]
+	for _, obj := range writes {
+		if obj >= 0 && obj < rows {
+			kept = append(kept, obj)
+		}
+	}
+	return kept
 }
 
 // execute (stage 5) performs the plan's server work in order. Per-request

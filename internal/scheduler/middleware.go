@@ -144,11 +144,14 @@ type terminal struct {
 // the submitted request so a later duplicate of the same key can tell a
 // retransmission (identical content — attach to the in-flight copy) from a
 // replacement (different content — newest wins in the pending store).
+// attached lists the retransmissions waiting on this waiter's copy; each is
+// answered with the same outcome.
 type waiter struct {
-	req   request.Request
-	ch    chan Result
-	cb    func(Result)
-	stamp time.Time
+	req      request.Request
+	ch       chan Result
+	cb       func(Result)
+	stamp    time.Time
+	attached []waiter
 }
 
 type submission struct {
@@ -414,9 +417,13 @@ func (m *Middleware) TerminalOutcome(ta int64) (Result, request.Op, bool) {
 	return t.res, t.op, ok
 }
 
-// answer delivers one result to a waiter. Every admitted submission is
-// answered exactly once through here, which keeps the queued counter truthful.
+// answer delivers one result to a waiter and to every retransmission
+// attached to it. Every admitted submission is answered exactly once through
+// here, which keeps the queued counter truthful.
 func (m *Middleware) answer(w waiter, res Result) {
+	for _, a := range w.attached {
+		m.answer(a, res)
+	}
 	m.queued.Add(-1)
 	if w.cb != nil {
 		w.cb(res)
@@ -433,7 +440,8 @@ func (m *Middleware) answer(w waiter, res Result) {
 // (attach the new waiter to it instead of enqueuing a second copy), or have
 // been aborted (answer the terminal outcome). Only a duplicate with
 // *different* content re-enqueues — the replace path, where the newest
-// submission wins in the pending store.
+// submission wins in the pending store and the replaced waiters are
+// answered errSuperseded.
 func (m *Middleware) registerLocked(k request.Key, w waiter) bool {
 	if m.limits.ResubmitWindow > 0 {
 		if t, ok := m.finished[w.req.TA]; ok {
@@ -450,14 +458,19 @@ func (m *Middleware) registerLocked(k request.Key, w waiter) bool {
 		}
 	}
 	if prev, ok := m.waiters[k]; ok {
-		// Duplicate (TA, IntraTA) submission: answer the superseded client
-		// rather than leaving it waiting on a reply that never comes.
-		retransmit := prev.req.Op == w.req.Op && prev.req.Object == w.req.Object &&
-			prev.req.Priority == w.req.Priority
+		m.queued.Add(1)
+		if prev.req.Op == w.req.Op && prev.req.Object == w.req.Object &&
+			prev.req.Priority == w.req.Priority {
+			// Retransmission: wait on the copy already in flight.
+			prev.attached = append(prev.attached, w)
+			m.waiters[k] = prev
+			return false
+		}
+		// Replacement: answer the superseded clients rather than leaving
+		// them waiting on a reply that never comes.
 		m.answer(prev, Result{Err: errSuperseded})
 		m.waiters[k] = w
-		m.queued.Add(1)
-		return !retransmit
+		return true
 	}
 	m.byTA[k.TA] = append(m.byTA[k.TA], k)
 	m.waiters[k] = w
@@ -587,7 +600,8 @@ func (m *Middleware) submitPartitioned(r request.Request) Result {
 		m.mu.Lock()
 		if w, ok := m.waiters[k]; ok && w.ch == reply {
 			delete(m.waiters, k)
-			m.queued.Add(-1)
+			// Fails the retransmissions attached to this submission too.
+			m.answer(w, Result{Err: ErrStopped})
 		}
 		m.mu.Unlock()
 		return Result{Err: ErrStopped}

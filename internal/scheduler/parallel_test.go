@@ -12,21 +12,16 @@ import (
 )
 
 // TestConcurrentSubmitDuringParallelRounds hammers Middleware.Submit from
-// many client goroutines while rounds run a multi-core protocol, so the race
-// detector sees the full concurrency surface: client workers feeding the
-// submit channel, the scheduler loop firing rounds, and the Datalog engine's
-// worker pool evaluating inside those rounds. Every transaction must either
-// fully execute or be aborted as a deadlock victim — nothing may hang or be
-// silently dropped.
+// many client goroutines while rounds run, so the race detector sees the
+// full concurrency surface: client workers feeding the submit channel, the
+// scheduler loop firing rounds, and the pipelined executor leg running a
+// round's batch while the next round qualifies. Every transaction must
+// either fully execute or be aborted as a deadlock victim — nothing may hang
+// or be silently dropped.
 func TestConcurrentSubmitDuringParallelRounds(t *testing.T) {
-	p := protocol.SS2PLDatalog()
-	p.SetParallelism(4)
 	engine, err := NewEngine(Config{
-		Protocol: p,
+		Protocol: protocol.SS2PLDatalog(),
 		Server:   storage.NewServer(storage.Config{Rows: 64}),
-		// Parallelism through the config path as well (idempotent here,
-		// exercising the Parallelizable forwarding).
-		Parallelism: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -118,7 +118,7 @@ type crossTxn struct {
 // PartitionedConfig parameterises a PartitionedEngine.
 type PartitionedConfig struct {
 	// Base carries the shared engine settings (server, mode, GC, log,
-	// MaxBatch, parallelism, starvation bound). Base.Protocol is ignored —
+	// MaxBatch, starvation bound). Base.Protocol is ignored —
 	// each shard owns the instance Factory builds for it.
 	Base Config
 	// Partitions is the round-loop count (1..MaxPartitions).

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -35,12 +36,16 @@ type execTrace struct {
 // random per-request server latencies, the pipelined engine must produce
 // exactly the synchronous engine's behavior — per-round victims and
 // qualified counts, the executed sequence with its server results, the final
-// history and pending stores, and the server table state — sequentially and
-// with a parallel protocol (run under -race in CI).
+// history and pending stores, and the server table state (run under -race
+// in CI). par is the GOMAXPROCS the pair runs under: at 1 the executor leg
+// and the next round's qualification interleave on one core, at 4 they
+// overlap on real cores.
 func TestPipelinedMatchesSynchronous(t *testing.T) {
-	for _, parallelism := range []int{1, 4} {
+	for _, par := range []int{1, 4} {
 		for seed := int64(0); seed < 6; seed++ {
-			t.Run(fmt.Sprintf("par=%d/seed=%d", parallelism, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("par=%d/seed=%d", par, seed), func(t *testing.T) {
+				prev := runtime.GOMAXPROCS(par)
+				defer runtime.GOMAXPROCS(prev)
 				gen, err := workload.NewGenerator(workload.Config{
 					Clients: 6, TxnsPerClient: 4,
 					ReadsPerTxn: 2, WritesPerTxn: 2,
@@ -77,7 +82,6 @@ func TestPipelinedMatchesSynchronous(t *testing.T) {
 						Protocol:    protocol.SS2PLDatalog(),
 						Server:      srv,
 						KeepLog:     true,
-						Parallelism: parallelism,
 						StarveAfter: 12, // small bound: the starvation path must run too
 					})
 					if err != nil {
